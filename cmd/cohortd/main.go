@@ -60,7 +60,6 @@ import (
 	"cohort"
 	"cohort/client"
 	"cohort/internal/obsrv"
-	"cohort/internal/policy"
 	"cohort/internal/sched"
 	"cohort/internal/telem"
 )
@@ -72,13 +71,6 @@ type telemConfig struct {
 	short     time.Duration
 	long      time.Duration
 	eventsCap int
-}
-
-// policyConfig carries the adaptive-controller flags into run.
-type policyConfig struct {
-	enabled bool
-	spec    policy.Spec
-	decide  time.Duration
 }
 
 func main() {
@@ -99,9 +91,6 @@ func main() {
 		sloShort      = flag.Duration("slo-short", 10*time.Second, "short observation window for rates, quantiles and burn rates")
 		sloLong       = flag.Duration("slo-long", 5*time.Minute, "long observation window for burn-rate confirmation")
 		eventsCap     = flag.Int("events", 1024, "structured event ring capacity (/events)")
-		adaptive      = flag.Bool("adaptive", false, "enable the online policy controller: epsilon-greedy bandit over (quantum, coalesce) arms plus AIMD batch-floor tuning, fed by the telemetry sampler (-slo-tick cadence); decisions land on /policy, /events and cohort_policy_* metrics")
-		policySpec    = flag.String("policy", "", "adaptive-controller spec: JSON object literal or @file, e.g. {\"quantum\":[8,32,128],\"coalesce_words\":[1024,65536],\"epsilon\":0.1}")
-		policyTick    = flag.Duration("policy-tick", 0, "minimum spacing between controller decisions (0: decide on every sampler tick)")
 		drain         = flag.Bool("drain", false, "drain on SIGTERM/SIGINT: stop admitting sessions, flush the in-flight ones (up to -drain-timeout), then exit — the rolling-restart path; /drain (POST) starts a drain early")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight sessions to finish when draining")
 		noDelay       = flag.Bool("nodelay", true, "set TCP_NODELAY on accepted connections (frames flush without Nagle delay)")
@@ -127,12 +116,6 @@ func main() {
 		slos: slos, tick: *sloTick, short: *sloShort, long: *sloLong,
 		eventsCap: *eventsCap,
 	}
-	spec, err := policy.ParseSpec(*policySpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cohortd: %v\n", err)
-		os.Exit(2)
-	}
-	pc := policyConfig{enabled: *adaptive, spec: spec, decide: *policyTick}
 
 	cfg := sched.Config{
 		Engines: *engines, Quantum: *quantum, SwitchCost: *switchCost,
@@ -147,13 +130,13 @@ func main() {
 		}
 		return
 	}
-	if err := run(cfg, tc, pc, logger, *listen, *httpAddr, *noDelay, *sockBuf, *stallWindow, *drain, *drainTimeout); err != nil {
+	if err := run(cfg, tc, logger, *listen, *httpAddr, *noDelay, *sockBuf, *stallWindow, *drain, *drainTimeout); err != nil {
 		logger.Error("cohortd exiting", "err", err)
 		os.Exit(1)
 	}
 }
 
-func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger, listen, httpAddr string, noDelay bool, sockBuf int, stallWindow time.Duration, drain bool, drainTimeout time.Duration) error {
+func run(cfg sched.Config, tc telemConfig, logger *slog.Logger, listen, httpAddr string, noDelay bool, sockBuf int, stallWindow time.Duration, drain bool, drainTimeout time.Duration) error {
 	reg := cohort.NewRegistry()
 	flight := cohort.NewFlightRecorder(4096)
 	cfg.Registry = reg
@@ -206,35 +189,9 @@ func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger,
 	})
 	sampler.Start()
 
-	// Adaptive orchestration (-adaptive): the policy controller closes the
-	// loop from the sampler's windowed frames back into the scheduler's
-	// retune path. Decisions are observable on /policy, /events
-	// (policy_switch) and the cohort_policy_* metric families.
-	var ctl *policy.Controller
-	var cancelSub func()
-	if pc.enabled {
-		frames, cancel := sampler.Subscribe(1)
-		cancelSub = cancel
-		ctl = policy.New(pc.spec.Apply(policy.Config{
-			Sched:    s,
-			Frames:   frames,
-			Decide:   pc.decide,
-			Registry: reg,
-			Events:   events,
-		}))
-		ctl.Start()
-		logger.Info("adaptive controller up",
-			"arms", len(ctl.Doc().Arms), "decide", pc.decide)
-	}
-
-	var policyFn func() any
-	if ctl != nil {
-		policyFn = func() any { return ctl.Doc() }
-	}
 	var web *obsrv.Server
 	if httpAddr != "" {
 		web = obsrv.New(obsrv.Options{
-			Policy:       policyFn,
 			MetricsText:  reg.WritePrometheus,
 			TraceJSON:    func(w io.Writer) error { return flight.WriteChrome(w, "cohortd") },
 			Sessions:     func() any { return s.Sessions() },
@@ -291,10 +248,6 @@ func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger,
 			},
 		})
 		if err := web.Serve(httpAddr); err != nil {
-			if ctl != nil {
-				cancelSub()
-				ctl.Stop()
-			}
 			sampler.Stop()
 			dog.Stop()
 			sv.Close()
@@ -302,7 +255,7 @@ func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger,
 			return err
 		}
 		logger.Info("observability plane up", "addr", web.Addr(),
-			"endpoints", "/metrics /healthz /sessions /stats/latency /stats/slo /stats/windows /events /policy /trace /debug/pprof")
+			"endpoints", "/metrics /healthz /sessions /stats/latency /stats/slo /stats/windows /events /trace /debug/pprof")
 	}
 
 	obsrv.AwaitShutdown(
@@ -342,12 +295,6 @@ func run(cfg sched.Config, tc telemConfig, pc policyConfig, logger *slog.Logger,
 		},
 		func() { sv.Close() },
 		func() { s.Close() },
-		func() {
-			if ctl != nil {
-				cancelSub()
-				ctl.Stop()
-			}
-		},
 		func() { sampler.Stop() },
 		func() { dog.Stop() },
 		func() {

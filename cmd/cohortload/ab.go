@@ -1,8 +1,8 @@
-// The -ab harness: static-vs-adaptive scheduler orchestration over the SAME
-// Poisson trace (same per-tenant seeds, same mix, same send window), so the
-// only degree of freedom between runs is whether the policy controller is
-// closing the loop. The workload is deliberately skewed — the mix no single
-// static knob setting serves well:
+// The -ab harness: a static-knob sweep over the SAME Poisson trace (same
+// per-tenant seeds, same mix, same send window), so the only degree of
+// freedom between runs is the spawned daemon's scheduling quantum. The
+// workload is deliberately skewed — the mix no single quantum serves
+// perfectly:
 //
 //   - latency tenants (even indexes): small blocks (16 words) over a paced
 //     Poisson arrival process, opened with an echo CSR that overrides the
@@ -10,31 +10,19 @@
 //   - throughput tenants (odd indexes): the daemon's -block geometry at
 //     saturation (unthrottled open loop).
 //
-// Both daemons run the identical stack — registry, sampler, event ring, the
-// same -switch-cost and starting -quantum — except the adaptive one also
-// runs internal/policy over the sampler's frames. The controller's arm 0 IS
-// the static configuration, so the bandit starts where the static run is
-// pinned and must discover the better arms online; with a non-zero
-// -switch-cost a small static quantum pays the modeled CSR-swap on every
-// session switch and the gap is large. The report (BENCH_adaptive.json)
-// records both goodputs, the adaptive/static ratio, and the controller's
-// full /policy document (arms, reward estimates, switch history) — CI gates
-// on adaptive >= static and at least one policy_switch.
+// Every arm runs the identical stack with the same -switch-cost; with a
+// non-zero -switch-cost a small quantum pays the modeled CSR swap on every
+// session switch. The sweep prints one benchstat line per arm and names the
+// arm with the best goodput — the static default to ship.
 package main
 
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
-
-	"cohort"
-	"cohort/internal/policy"
-	"cohort/internal/sched"
-	"cohort/internal/telem"
 )
 
 // Latency-tenant geometry: one small block per paced arrival.
@@ -43,22 +31,13 @@ const (
 	abLatRateHz = 200.0 // paced arrivals/sec per latency tenant
 )
 
-// Sampler/controller cadence: fast enough that a 2s CI smoke completes the
-// arm sweep and converges with decisions to spare.
-const (
-	abTick  = 100 * time.Millisecond
-	abShort = 500 * time.Millisecond
-	abLong  = 2 * time.Second
-)
-
 // abMode is one parsed -ab entry.
 type abMode struct {
-	label    string
-	adaptive bool
-	quantum  int // static daemon quantum (0: the -quantum flag)
+	label   string
+	quantum int // daemon quantum (0: the -quantum flag)
 }
 
-// parseABModes parses the -ab list: "static", "static:q=N", "adaptive".
+// parseABModes parses the -ab list: "static", "static:q=N".
 func parseABModes(spec string) ([]abMode, error) {
 	var modes []abMode
 	for _, raw := range strings.Split(spec, ",") {
@@ -67,8 +46,6 @@ func parseABModes(spec string) ([]abMode, error) {
 			continue
 		}
 		switch {
-		case m == "adaptive":
-			modes = append(modes, abMode{label: m, adaptive: true})
 		case m == "static":
 			modes = append(modes, abMode{label: m})
 		case strings.HasPrefix(m, "static:q="):
@@ -78,7 +55,7 @@ func parseABModes(spec string) ([]abMode, error) {
 			}
 			modes = append(modes, abMode{label: m, quantum: q})
 		default:
-			return nil, fmt.Errorf("-ab mode %q: want static, static:q=N or adaptive", m)
+			return nil, fmt.Errorf("-ab mode %q: want static or static:q=N", m)
 		}
 	}
 	if len(modes) < 2 {
@@ -87,50 +64,31 @@ func parseABModes(spec string) ([]abMode, error) {
 	return modes, nil
 }
 
-// harnessArms is the A/B action space. Arm 0 is the static configuration —
-// the bandit's sweep starts exactly where the static run is pinned — and
-// the remaining arms trade switch overhead for latency at increasing
-// quantum/coalesce.
-func harnessArms(staticQuantum int) []policy.Arm {
-	arms := []policy.Arm{
-		{Quantum: staticQuantum, CoalesceWords: 4096},
-		{Quantum: 64, CoalesceWords: 65536},
-		{Quantum: 256, CoalesceWords: 65536},
-	}
-	return arms
-}
-
-// abRunResult is one A/B run's row: the aggregate plus per-class latency
-// quantiles (the latency tenants are the ones an over-batched configuration
-// hurts) and, for the adaptive run, the controller's final /policy document.
+// abRunResult is one arm's row: the aggregate plus per-class latency
+// quantiles (the latency tenants are the ones an over-batched quantum
+// hurts).
 type abRunResult struct {
-	Mode             string      `json:"mode"`
-	Quantum          int         `json:"quantum"` // static pin / adaptive start
-	Blocks           uint64      `json:"blocks"`
-	Words            uint64      `json:"words"`
-	ElapsedS         float64     `json:"elapsed_s"`
-	GoodputWordsPerS float64     `json:"goodput_words_per_s"`
-	GoodputMiBPerS   float64     `json:"goodput_mib_per_s"`
-	LatBlockP50us    float64     `json:"lat_block_p50_us"`
-	LatBlockP99us    float64     `json:"lat_block_p99_us"`
-	ThrBlockP99us    float64     `json:"thr_block_p99_us"`
-	Policy           *policy.Doc `json:"policy,omitempty"`
+	Mode             string  `json:"mode"`
+	Quantum          int     `json:"quantum"`
+	Blocks           uint64  `json:"blocks"`
+	Words            uint64  `json:"words"`
+	ElapsedS         float64 `json:"elapsed_s"`
+	GoodputWordsPerS float64 `json:"goodput_words_per_s"`
+	GoodputMiBPerS   float64 `json:"goodput_mib_per_s"`
+	LatBlockP50us    float64 `json:"lat_block_p50_us"`
+	LatBlockP99us    float64 `json:"lat_block_p99_us"`
+	ThrBlockP99us    float64 `json:"thr_block_p99_us"`
 }
 
-// abReport is the BENCH_adaptive.json document.
+// abReport is the -ab-report document.
 type abReport struct {
 	Benchmark     string        `json:"benchmark"`
 	GeneratedUnix int64         `json:"generated_unix"`
 	Config        reportConfig  `json:"config"`
 	Mix           abMix         `json:"mix"`
 	Runs          []abRunResult `json:"runs"`
-	// AdaptiveVsStatic is adaptive goodput over the BEST static goodput.
-	AdaptiveVsStatic float64 `json:"adaptive_vs_static,omitempty"`
-	PolicySwitches   uint64  `json:"policy_switches"`
-	// Pass: the adaptive controller matched or beat every static
-	// configuration (>= 0.95 of the best static allows measurement jitter
-	// on a converged tie) AND switched arms at least once.
-	Pass bool `json:"pass"`
+	// Best is the mode with the highest goodput.
+	Best string `json:"best"`
 }
 
 // abMix documents the skewed tenant mix the runs shared.
@@ -143,22 +101,13 @@ type abMix struct {
 	SwitchCostUs      float64 `json:"switch_cost_us"`
 }
 
-// runAB is the -ab entry point: run every mode over the same trace, write
-// the report, and fail loudly when the adaptive claim does not hold.
+// runAB is the -ab entry point: run every arm over the same trace, name the
+// best, and write the report.
 func runAB(cfg runConfig, spec, outPath string) error {
 	modes, err := parseABModes(spec)
 	if err != nil {
 		return err
 	}
-	var runs []abRunResult
-	for _, m := range modes {
-		r, err := abRun(cfg, m)
-		if err != nil {
-			return fmt.Errorf("ab %s: %w", m.label, err)
-		}
-		runs = append(runs, r)
-	}
-
 	report := abReport{
 		Benchmark:     "cohortload/ab",
 		GeneratedUnix: time.Now().Unix(),
@@ -175,110 +124,36 @@ func runAB(cfg runConfig, spec, outPath string) error {
 			ThroughputBlock:   cfg.block,
 			SwitchCostUs:      round2(float64(cfg.switchCost) / 1e3),
 		},
-		Runs: runs,
 	}
-	var bestStatic, adaptive float64
-	for _, r := range runs {
-		if r.Mode == "adaptive" {
-			if r.GoodputWordsPerS > adaptive {
-				adaptive = r.GoodputWordsPerS
-			}
-			if r.Policy != nil {
-				report.PolicySwitches += r.Policy.Switches
-			}
-		} else if r.GoodputWordsPerS > bestStatic {
-			bestStatic = r.GoodputWordsPerS
+	var best abRunResult
+	for _, m := range modes {
+		r, err := abRun(cfg, m)
+		if err != nil {
+			return fmt.Errorf("ab %s: %w", m.label, err)
+		}
+		report.Runs = append(report.Runs, r)
+		if r.GoodputWordsPerS > best.GoodputWordsPerS {
+			best = r
 		}
 	}
-	if adaptive > 0 && bestStatic > 0 {
-		report.AdaptiveVsStatic = round4(adaptive / bestStatic)
-		report.Pass = report.AdaptiveVsStatic >= 0.95 && report.PolicySwitches >= 1
-		fmt.Printf("\nadaptive vs best static: %.2fx goodput (adaptive %.1f MiB/s, static %.1f MiB/s, %d policy switches)\n",
-			report.AdaptiveVsStatic, adaptive*8/(1<<20), bestStatic*8/(1<<20), report.PolicySwitches)
-	}
+	report.Best = best.Mode
+	fmt.Printf("\nbest static: %s (q=%d) at %.1f MiB/s, latency-tenant p99 %.1f us\n",
+		best.Mode, best.Quantum, best.GoodputMiBPerS, best.LatBlockP99us)
 	if outPath != "" {
 		writeJSON(outPath, report)
 		fmt.Printf("report: %s\n", outPath)
 	}
-	if adaptive > 0 && bestStatic > 0 && !report.Pass {
-		return fmt.Errorf("adaptive failed to match static: ratio %.3f, %d switches",
-			report.AdaptiveVsStatic, report.PolicySwitches)
-	}
 	return nil
 }
 
-// spawnABDaemon brings up one in-process daemon for an A/B run. Static and
-// adaptive variants run the IDENTICAL stack — registry, telemetry sampler,
-// event ring, latency sampling — so the controller is the only difference
-// being measured; docFn returns nil for static daemons.
-func spawnABDaemon(cfg runConfig, m abMode) (addr string, docFn func() *policy.Doc, stop func(), err error) {
-	quantum := m.quantum
-	if quantum == 0 {
-		quantum = cfg.quantum
-	}
-	reg := cohort.NewRegistry()
-	events := telem.NewLog(256, nil)
-	s := sched.New(sched.Config{
-		Engines: cfg.engines, Quantum: quantum, QueueCap: cfg.queueCap,
-		SwitchCost: cfg.switchCost, MaxSessions: 2*cfg.tenants + 8,
-		LatencySample: 8, Registry: reg, Events: events,
-	})
-	cat := sched.DefaultCatalog()
-	blk := cfg.block
-	cat["echo"] = func() (cohort.Accelerator, error) { return newEcho(blk), nil }
-	sv := sched.NewServer(s, cat)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		s.Close()
-		return "", nil, nil, err
-	}
-	go sv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on stop
-	sampler := telem.New(telem.Config{
-		Registry: reg, Tick: abTick, Short: abShort, Long: abLong, Events: events,
-	})
-	sampler.Start()
-	var ctl *policy.Controller
-	var cancel func()
-	if m.adaptive {
-		frames, c := sampler.Subscribe(1)
-		cancel = c
-		ctl = policy.New(policy.Config{
-			Sched:  s,
-			Frames: frames,
-			Arms:   harnessArms(quantum),
-			// Low epsilon: a short A/B window should spend its decisions on
-			// the sweep and exploitation, not random exploration.
-			Epsilon:  0.05,
-			Settle:   1,
-			Seed:     cfg.seed,
-			Registry: reg,
-			Events:   events,
-		})
-		ctl.Start()
-	}
-	stop = func() {
-		sv.Close()
-		s.Close()
-		if ctl != nil {
-			cancel()
-			ctl.Stop()
-		}
-		sampler.Stop()
-	}
-	docFn = func() *policy.Doc {
-		if ctl == nil {
-			return nil
-		}
-		d := ctl.Doc()
-		return &d
-	}
-	return ln.Addr().String(), docFn, stop, nil
-}
-
-// abRun drives the skewed mix against one freshly spawned daemon. Seeds are
-// per tenant index, so every mode replays the identical arrival trace.
+// abRun drives the skewed mix against one freshly spawned daemon pinned at
+// the arm's quantum. Seeds are per tenant index, so every arm replays the
+// identical arrival trace.
 func abRun(cfg runConfig, m abMode) (abRunResult, error) {
-	addr, docFn, stop, err := spawnABDaemon(cfg, m)
+	if m.quantum > 0 {
+		cfg.quantum = m.quantum
+	}
+	addr, stop, err := spawnDaemon(cfg, false)
 	if err != nil {
 		return abRunResult{}, err
 	}
@@ -334,35 +209,18 @@ func abRun(cfg runConfig, m abMode) (abRunResult, error) {
 	}
 	elapsed := time.Since(start)
 
-	quantum := m.quantum
-	if quantum == 0 {
-		quantum = cfg.quantum
-	}
 	res := abRunResult{
-		Mode: m.label, Quantum: quantum, Blocks: blocks, Words: words,
+		Mode: m.label, Quantum: cfg.quantum, Blocks: blocks, Words: words,
 		ElapsedS:         round4(elapsed.Seconds()),
 		GoodputWordsPerS: round2(float64(words) / elapsed.Seconds()),
 		GoodputMiBPerS:   round2(float64(words) * 8 / (1 << 20) / elapsed.Seconds()),
 		LatBlockP50us:    quantUS(latLat, 0.50),
 		LatBlockP99us:    quantUS(latLat, 0.99),
 		ThrBlockP99us:    quantUS(thrLat, 0.99),
-		Policy:           docFn(),
 	}
 	fmt.Printf("BenchmarkServeAB/mode=%s/tenants=%d/block=%d/switch-cost=%v \t%8d\t%12.1f ns/op\t%10.2f MB/s\t%10.1f lat-p99-us\n",
 		m.label, cfg.tenants, cfg.block, cfg.switchCost, blocks,
 		float64(elapsed.Nanoseconds())/float64(max(blocks, 1)),
 		float64(words)*8/1e6/elapsed.Seconds(), res.LatBlockP99us)
-	if p := res.Policy; p != nil {
-		fmt.Printf("  policy: %d frames, %d decisions, %d switches (%d explore), final arm %d, batch %d words\n",
-			p.Frames, p.Decisions, p.Switches, p.Explorations, p.CurrentArm, p.BatchWords)
-		for i, a := range p.Arms {
-			cur := " "
-			if a.Current {
-				cur = "*"
-			}
-			fmt.Printf("  %s arm %d: q=%-4d c=%-6d plays %3d  est %12.1f words/s\n",
-				cur, i, a.Quantum, a.CoalesceWords, a.Plays, a.RewardEst)
-		}
-	}
 	return res, nil
 }

@@ -64,16 +64,13 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 1, "arrival-process RNG seed")
 	legacy := flag.Bool("legacy", false, "use the pre-coalescing legacy codec (single run)")
 	compare := flag.Bool("compare", false, "run legacy then batched against spawned daemons and report the speedup")
-	ab := flag.String("ab", "", "static-vs-adaptive A/B over the same Poisson trace and a skewed tenant mix, e.g. \"static,adaptive\" (modes: static, static:q=N, adaptive); spawned daemons only")
-	abOut := flag.String("ab-report", "BENCH_adaptive.json", "A/B report path (empty: skip)")
+	ab := flag.String("ab", "", "static-quantum sweep over the same Poisson trace and a skewed tenant mix, e.g. \"static:q=8,static:q=64,static:q=256\" (modes: static, static:q=N); prints every arm and names the best; spawned daemons only")
+	abOut := flag.String("ab-report", "", "sweep report path (empty: skip)")
 	out := flag.String("o", "BENCH_serve.json", "JSON report path (empty: skip)")
 	latOut := flag.String("latency-report", "BENCH_latency.json", "decomposed server-stage latency report path (empty: skip; batched runs only)")
 	sloP99 := flag.Duration("slo-p99", 0, "SLO verdict mode: fail (exit 1) if the final run's end-to-end block p99 exceeds this (0: off)")
 	flag.Parse()
 
-	if cfg.batch%cfg.block != 0 {
-		log.Fatalf("-batch %d must be a multiple of -block %d", cfg.batch, cfg.block)
-	}
 	if cfg.coalesce < 1 {
 		log.Fatal("-coalesce must be >= 1")
 	}
@@ -395,8 +392,10 @@ func spawnDaemon(cfg runConfig, legacy bool) (addr string, stop func(), err erro
 	return ln.Addr().String(), func() { sv.Close(); s.Close() }, nil
 }
 
-// batchRec tracks one in-flight arrival: when it was *scheduled* to arrive
-// (the open-loop latency origin) and how many result words retire it.
+// batchRec tracks in-flight arrivals: when they were *scheduled* to arrive
+// (the open-loop latency origin) and how many result words retire them —
+// the arrivals' output, which differs from their input for any geometry
+// other than 1:1 (SHA-256 maps 8 input words to 4 output words).
 type batchRec struct {
 	due   time.Time
 	words int
@@ -570,6 +569,13 @@ func (w *worker) run() error {
 		return err
 	}
 	defer c.Close()
+	if w.cfg.batch%c.InWords() != 0 {
+		return fmt.Errorf("-batch %d must be a multiple of the %s accelerator's input block (%d words)",
+			w.cfg.batch, w.cfg.accel, c.InWords())
+	}
+	// Output words one arrival produces: whole input blocks in, one output
+	// block out per input block.
+	outPer := w.cfg.batch / c.InWords() * c.OutWords()
 	t0 := time.Now()
 
 	// Pending batches flow sender→receiver in send order; the channel is the
@@ -611,12 +617,12 @@ func (w *worker) run() error {
 		}
 		if w.rate > 0 {
 			for _, due := range dues {
-				pending <- batchRec{due: due, words: w.cfg.batch}
+				pending <- batchRec{due: due, words: outPer}
 			}
 		} else {
 			// Saturation arrivals in one pass share a due stamp: one record
 			// covers them all (the receiver tracks words, not frames).
-			pending <- batchRec{due: dues[0], words: w.cfg.batch * len(dues)}
+			pending <- batchRec{due: dues[0], words: outPer * len(dues)}
 		}
 		if w.legacy {
 			// The pre-change client has no frame coalescing: one copy-framed
@@ -659,14 +665,23 @@ func (w *worker) run() error {
 }
 
 // receive drains results, retiring pending batches in order and recording
-// one latency sample per completed block (stamped when its last word lands).
+// one latency sample per completed output block (stamped when its last word
+// lands). At end of stream every sent arrival must have been retired: a
+// leftover means the harness's geometry bookkeeping is wrong.
 func (w *worker) receive(c *client.Conn, pending <-chan batchRec) error {
 	buf := make([]cohort.Word, 1<<16)
+	outW := c.OutWords()
 	var cur batchRec
 	rem, into := 0, 0 // words left in cur; words already landed in cur
 	for {
 		n, err := c.RecvInto(buf)
 		if err == io.EOF {
+			for r := range pending {
+				rem += r.words
+			}
+			if rem > 0 {
+				return fmt.Errorf("stream ended %d result words short of the sent arrivals", rem)
+			}
 			return nil
 		}
 		if err != nil {
@@ -676,11 +691,14 @@ func (w *worker) receive(c *client.Conn, pending <-chan batchRec) error {
 		w.words += uint64(n)
 		for n > 0 {
 			if rem == 0 {
-				cur = <-pending
+				var ok bool
+				if cur, ok = <-pending; !ok {
+					return fmt.Errorf("%d result words beyond the sent arrivals", n)
+				}
 				rem, into = cur.words, 0
 			}
 			take := min(n, rem)
-			done := (into+take)/w.cfg.block - into/w.cfg.block
+			done := (into+take)/outW - into/outW
 			lat := now.Sub(cur.due).Nanoseconds()
 			for i := 0; i < done; i++ {
 				w.lat.add(lat)

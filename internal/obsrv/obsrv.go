@@ -91,9 +91,6 @@ type Options struct {
 	// Events pages the structured event ring for /events: events with
 	// sequence numbers after since, at most max (e.g. telem.Log.PageSince).
 	Events func(since uint64, max int) any
-	// Policy snapshots the adaptive controller for /policy: current arm,
-	// reward estimates, switch history (e.g. policy.Controller.Doc).
-	Policy func() any
 	// Drain serves /drain: a POST invokes it with trigger=true (start
 	// draining — stop admitting, flush in-flight sessions), a GET with
 	// trigger=false; either way the returned drain-progress document is
@@ -141,7 +138,6 @@ func New(opts Options) *Server {
 	mux.HandleFunc("/stats/slo", s.slo)
 	mux.HandleFunc("/stats/windows", s.windows)
 	mux.HandleFunc("/events", s.events)
-	mux.HandleFunc("/policy", s.policy)
 	mux.HandleFunc("/drain", s.drain)
 	mux.HandleFunc("/ring", s.ring)
 	mux.HandleFunc("/shards", s.shards)
@@ -311,14 +307,6 @@ func (s *Server) windows(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.opts.WindowStats())
 }
 
-func (s *Server) policy(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Policy == nil {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.opts.Policy())
-}
-
 // events serves the structured event ring. Query parameters: since=<seq>
 // resumes after a cursor from a previous page (default 0 = oldest held),
 // max=<n> caps the page size (default 256; <= 0 rejected).
@@ -390,7 +378,7 @@ func (s *Server) index(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, "cohort observability\n\n/metrics\n/healthz\n/trace\n/sessions\n/stats/latency\n/stats/slo\n/stats/windows\n/events\n/policy\n/drain\n/ring\n/shards\n/debug/pprof/\n") //nolint:errcheck
+	io.WriteString(w, "cohort observability\n\n/metrics\n/healthz\n/trace\n/sessions\n/stats/latency\n/stats/slo\n/stats/windows\n/events\n/drain\n/ring\n/shards\n/debug/pprof/\n") //nolint:errcheck
 }
 
 // AwaitShutdown is the shared daemon exit path: print banner (when

@@ -236,6 +236,18 @@ func TestIndexListsLatencyEndpoint(t *testing.T) {
 	}
 }
 
+// TestPolicyEndpointMissingSourceIs404: no adaptive controller exists, so
+// nothing serves /policy and the index does not advertise it.
+func TestPolicyEndpointMissingSourceIs404(t *testing.T) {
+	h := New(Options{}).Handler()
+	if rec, _ := get(t, h, "/policy"); rec.Code != http.StatusNotFound {
+		t.Errorf("/policy: status = %d, want 404", rec.Code)
+	}
+	if _, body := get(t, h, "/"); strings.Contains(body, "/policy") {
+		t.Errorf("index advertises /policy: %q", body)
+	}
+}
+
 // TestJSONEndpointHeaders pins the response headers on every JSON endpoint:
 // an explicit media type and no-store caching, so intermediaries never serve
 // a stale health or SLO snapshot.

@@ -160,11 +160,13 @@ func TestTerminalFaultContainment(t *testing.T) {
 func TestFaultFairnessPreserved(t *testing.T) {
 	var aCnt, bCnt atomic.Uint64
 	snaps := make(chan uint64, 1)
-	accA := &tallyAccel{mine: &aCnt, other: &bCnt, every: 4000, snaps: snaps}
-	accB := &tallyAccel{mine: &bCnt}
+	gate, open := newGate()
+	accA := &tallyAccel{mine: &aCnt, other: &bCnt, every: 4000, snaps: snaps, gate: gate}
+	accB := &tallyAccel{mine: &bCnt, gate: gate}
 
 	s := New(Config{Engines: 1, Quantum: 8, QueueCap: 64, Retries: 1})
 	defer s.Close()
+	defer open() // before Close: a failed Register must not leave the worker parked
 	b, err := s.Register(SessionConfig{Tenant: "bob", Accel: accB, Weight: 1,
 		In: backlog(t, 8192, 8000)})
 	if err != nil {
@@ -188,6 +190,7 @@ func TestFaultFairnessPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	open()
 	// Drain the chaos session without t (Fatalf is test-goroutine only).
 	go func() {
 		buf := make([]cohort.Word, 64)

@@ -196,9 +196,6 @@ type SessionInfo struct {
 	// Latency is the session's sampled stage breakdown (stage quantiles in
 	// nanoseconds); stages with zero samples render with samples=0.
 	Latency *StageBreakdown `json:"latency,omitempty"`
-	// Tuned is the session's live knob overrides (knobs.go); omitted while
-	// every knob still sits at the scheduler default.
-	Tuned *Knobs `json:"tuned,omitempty"`
 }
 
 // Session is one tenant's live binding to the service: a queue pair, an
@@ -226,13 +223,6 @@ type Session struct {
 	inKick  chan struct{} // input consumed: queue room freed for the producer
 
 	legacy bool // SessionConfig.LegacyHandoff: per-block output publication
-
-	// Live-tunable knobs (knobs.go). Zero means "use the scheduler default";
-	// written by Retune from any goroutine, read at quantum boundaries (serve
-	// loop) and pump passes (server.go) via the eff* helpers.
-	tunedQuantum  atomic.Int32
-	tunedCoalesce atomic.Int32
-	tunedBatch    atomic.Int32
 
 	// Scheduler state, guarded by Scheduler.mu.
 	pass    float64
@@ -370,10 +360,6 @@ type Scheduler struct {
 	vtime    float64 // virtual time: pass of the most recently dispatched session
 	sessions map[uint64]*Session
 
-	// admitKnobs is the knob set newly admitted sessions inherit — updated by
-	// RetuneAll so a controller decision outlives session churn. Guarded by mu.
-	admitKnobs Knobs
-
 	// drained closes (via drainedOnce) when the scheduler is draining and the
 	// last live session has retired — the rolling-restart barrier cohortd's
 	// SIGTERM path waits on. Close() closes it too, so a waiter never hangs
@@ -397,7 +383,6 @@ type Scheduler struct {
 	admitted   atomic.Uint64
 	rejections atomic.Uint64
 	retirals   atomic.Uint64
-	retunes    atomic.Uint64 // sessions touched by Retune/RetuneAll (knobs.go)
 
 	faultsTransient atomic.Uint64 // transient accelerator faults retried
 	faultsRecovered atomic.Uint64 // blocks completed after retries
@@ -490,7 +475,6 @@ func New(cfg Config) *Scheduler {
 				{Name: "admitted", Value: s.admitted.Load()},
 				{Name: "rejected", Value: s.rejections.Load()},
 				{Name: "retired", Value: s.retirals.Load()},
-				{Name: "retunes", Value: s.retunes.Load()},
 				{Name: "sessions", Value: live},
 				{Name: "transient_faults", Value: s.faultsTransient.Load()},
 				{Name: "recovered", Value: s.faultsRecovered.Load()},
@@ -593,7 +577,6 @@ func (s *Scheduler) Register(cfg SessionConfig) (*Session, error) {
 	ss.lat = &stageSet{}
 	ss.tlat = s.tenantStagesLocked(ss.tenant)
 	ss.ttot = s.tenantTotalsLocked(ss.tenant)
-	ss.applyKnobs(s.admitKnobs) // inherit the controller's standing decision
 	s.sessions[ss.id] = ss
 	s.admitted.Add(1)
 	if s.schedTrk != nil {
@@ -724,9 +707,6 @@ func (s *Scheduler) Sessions() []SessionInfo {
 		}
 		lat := ss.lat.breakdown()
 		info.Latency = &lat
-		if k := ss.Knobs(); k != (Knobs{}) {
-			info.Tuned = &k
-		}
 		if err := ss.Err(); err != nil {
 			info.Err = err.Error()
 		}
@@ -1027,24 +1007,11 @@ func (s *Scheduler) serveQuantum(trk *cohort.TraceTrack, ss *Session, tPick time
 		return
 	}
 	inW := ss.inW
-	// Quantum boundary: latch the effective quantum once. A Retune landing
-	// after this load affects the next decision, never this one, so stride
-	// accounting below always matches the clamp the dispatch used. Tuned
-	// quanta above the admit-time default grow the staging buffers here —
-	// once per upward retune, never in steady state — while slicing keeps
-	// working for smaller quanta without reallocating.
-	quantum := ss.effQuantum(s.cfg.Quantum)
-	if need := quantum * inW; cap(ss.buf) < need {
-		ss.buf = make([]cohort.Word, need)
-	}
-	if need := quantum * ss.outW; cap(ss.obuf) < need {
-		ss.obuf = make([]cohort.Word, 0, need)
-	}
 	a, b := ss.in.ReadSegments()
 	avail := len(a) + len(b)
 	blocks := avail / inW
-	if blocks > quantum {
-		blocks = quantum
+	if blocks > s.cfg.Quantum {
+		blocks = s.cfg.Quantum
 	}
 	if ss.quota > 0 {
 		if rem := ss.quota - ss.blocks.Load(); uint64(blocks) > rem {

@@ -20,11 +20,17 @@ import (
 // backpressure (and drainer goroutines) from the fairness experiments: on a
 // single-CPU machine any concurrent helper goroutine rate-limits the worker
 // and the test would measure Go's goroutine scheduler, not ours.
+//
+// A non-nil gate holds the first block until the test closes it. Fairness
+// tests close it after their last Register, so every tenant starts from the
+// same point: on more than one CPU the worker would otherwise start draining
+// the first-admitted tenant while the test is still admitting the rest.
 type tallyAccel struct {
 	mine  *atomic.Uint64
 	other *atomic.Uint64
 	every uint64
 	snaps chan uint64
+	gate  chan struct{}
 	sink  cohort.Word
 }
 
@@ -33,6 +39,10 @@ func (a *tallyAccel) InWords() int           { return 1 }
 func (a *tallyAccel) OutWords() int          { return 0 }
 func (a *tallyAccel) Configure([]byte) error { return nil }
 func (a *tallyAccel) Process(in []cohort.Word) ([]cohort.Word, error) {
+	if a.gate != nil {
+		<-a.gate
+		a.gate = nil
+	}
 	x := in[0] + 1
 	for i := 0; i < 800; i++ {
 		x = x*2654435761 + 1
@@ -46,6 +56,12 @@ func (a *tallyAccel) Process(in []cohort.Word) ([]cohort.Word, error) {
 		}
 	}
 	return nil, nil
+}
+
+// newGate returns a tallyAccel gate and an idempotent func that opens it.
+func newGate() (chan struct{}, func()) {
+	gate := make(chan struct{})
+	return gate, sync.OnceFunc(func() { close(gate) })
 }
 
 // backlog returns a fifo of capacity cap pre-filled with n words — a tenant
@@ -71,13 +87,13 @@ func backlog(t *testing.T, cap, n int) *cohort.Fifo[cohort.Word] {
 func TestWeightedFairness(t *testing.T) {
 	var aCnt, bCnt atomic.Uint64
 	snaps := make(chan uint64, 1)
-	accA := &tallyAccel{mine: &aCnt, other: &bCnt, every: 4000, snaps: snaps}
-	accB := &tallyAccel{mine: &bCnt}
+	gate, open := newGate()
+	accA := &tallyAccel{mine: &aCnt, other: &bCnt, every: 4000, snaps: snaps, gate: gate}
+	accB := &tallyAccel{mine: &bCnt, gate: gate}
 
 	s := New(Config{Engines: 1, Quantum: 8, QueueCap: 64})
 	defer s.Close()
-	// bob (the disadvantaged tenant) registers first, so any head start before
-	// both sessions are admitted biases the ratio low, never in its favor.
+	defer open() // before Close: a failed Register must not leave the worker parked
 	b, err := s.Register(SessionConfig{Tenant: "bob", Accel: accB, Weight: 1,
 		In: backlog(t, 8192, 8000)})
 	if err != nil {
@@ -88,6 +104,7 @@ func TestWeightedFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	open()
 
 	var bobAt4000 uint64
 	select {
@@ -112,11 +129,13 @@ func TestWeightedFairness(t *testing.T) {
 func TestNoStarvation(t *testing.T) {
 	var heavyCnt, lightCnt atomic.Uint64
 	snaps := make(chan uint64, 16)
-	accHeavy := &tallyAccel{mine: &heavyCnt, other: &lightCnt, every: 1500, snaps: snaps}
-	accLight := &tallyAccel{mine: &lightCnt}
+	gate, open := newGate()
+	accHeavy := &tallyAccel{mine: &heavyCnt, other: &lightCnt, every: 1500, snaps: snaps, gate: gate}
+	accLight := &tallyAccel{mine: &lightCnt, gate: gate}
 
 	s := New(Config{Engines: 1, Quantum: 16, QueueCap: 64})
 	defer s.Close()
+	defer open() // before Close: a failed Register must not leave the worker parked
 	if _, err := s.Register(SessionConfig{Tenant: "light", Accel: accLight, Weight: 1,
 		In: backlog(t, 4096, 4000)}); err != nil {
 		t.Fatal(err)
@@ -125,6 +144,7 @@ func TestNoStarvation(t *testing.T) {
 		In: backlog(t, 32768, 20000)}); err != nil {
 		t.Fatal(err)
 	}
+	open()
 
 	last := uint64(0)
 	for round := 1; round <= 8; round++ {

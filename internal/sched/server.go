@@ -420,11 +420,6 @@ func (sv *Server) pumpResults(c net.Conn, ss *Session, timing bool) {
 	const telemetryEvery = 250 * time.Millisecond
 	var lastTelem time.Time
 	var lastSamples uint64
-	// floorWaited latches one batch-floor park per frame: a sub-floor queue
-	// waits for at most one more publication (or the 2ms fallback) before
-	// flushing whatever is there, so a retuned floor can add bounded latency
-	// but never starve a trickling session.
-	var floorWaited bool
 	for {
 		var n int
 		var werr error
@@ -435,26 +430,9 @@ func (sv *Server) pumpResults(c net.Conn, ss *Session, timing bool) {
 		} else {
 			a, b := ss.Out().ReadSegments()
 			if n = len(a) + len(b); n > 0 {
-				// Per-pass knob reads (knobs.go): the controller retunes the
-				// frame cap and flush floor while the pump runs.
-				coalesce := ss.coalesceCap()
-				if floor := ss.batchFloor(coalesce); n < floor && !floorWaited && !ss.Out().Closed() {
-					floorWaited = true
-					wait.Reset(2 * time.Millisecond)
-					select {
-					case <-sv.sch.stop:
-						return
-					case <-ss.OutReady():
-						if !wait.Stop() {
-							<-wait.C
-						}
-					case <-wait.C:
-					}
-					continue
-				}
-				if n > coalesce {
-					// A queue deeper than the frame cap drains across passes.
-					n = coalesce
+				if n > wire.MaxFrameWords {
+					// A queue deeper than a frame drains across passes.
+					n = wire.MaxFrameWords
 					if n <= len(a) {
 						a, b = a[:n], nil
 					} else {
@@ -466,7 +444,6 @@ func (sv *Server) pumpResults(c net.Conn, ss *Session, timing bool) {
 			}
 		}
 		if n > 0 {
-			floorWaited = false
 			if !sv.LegacyWire {
 				// Draining output may unblock a session parked on output-room
 				// backpressure: let an engine re-dispatch it right away.

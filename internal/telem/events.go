@@ -31,10 +31,6 @@ const (
 	EventShardUp    = "shard_up"
 	EventShardDrain = "shard_drain"
 	EventShardDown  = "shard_down"
-	// EventPolicySwitch is one adaptive-controller arm change
-	// (internal/policy): detail carries the before/after knobs and the
-	// reward that justified the move.
-	EventPolicySwitch = "policy_switch"
 )
 
 // Event is one structured entry in the event log. Seq is assigned at append
