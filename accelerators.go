@@ -22,13 +22,23 @@ func PadToWords(b []byte) []Word {
 	return accel.BytesToWords(padded)
 }
 
-// blockAccel adapts a pure block function to the Accelerator interface.
+// blockAccel adapts a block kernel to the Accelerator interface. The kernel
+// writes one block's results into dst, the accelerator's own OutWords-long
+// result buffer, so Process allocates nothing for its result; per the
+// Accelerator contract, the slice it returns is overwritten by the next call.
 type blockAccel struct {
 	name      string
 	inWords   int
 	outWords  int
 	configure func(csr []byte) error
-	process   func(in []Word) ([]Word, error)
+	process   func(dst, in []Word) error
+	out       []Word
+}
+
+// newBlockAccel allocates a's result buffer.
+func newBlockAccel(a blockAccel) *blockAccel {
+	a.out = make([]Word, a.outWords)
+	return &a
 }
 
 func (a *blockAccel) Name() string  { return a.name }
@@ -42,21 +52,33 @@ func (a *blockAccel) Configure(csr []byte) error {
 	return a.configure(csr)
 }
 
-func (a *blockAccel) Process(in []Word) ([]Word, error) { return a.process(in) }
+func (a *blockAccel) Process(in []Word) ([]Word, error) {
+	if err := a.process(a.out, in); err != nil {
+		return nil, err
+	}
+	return a.out, nil
+}
 
 // NewSHA256 returns the SHA-256 accelerator: each 512-bit block (8 words) in
 // produces its 256-bit digest (4 words) out, like the prototype's OpenCores
 // core (§5.2).
 func NewSHA256() Accelerator {
-	return &blockAccel{
+	return newBlockAccel(blockAccel{
 		name:     "sha256",
 		inWords:  8,
 		outWords: 4,
-		process: func(in []Word) ([]Word, error) {
-			sum := accel.SHA256Sum(accel.WordsToBytes(in))
-			return accel.BytesToWords(sum[:]), nil
+		process: func(dst, in []Word) error {
+			var blk [accel.SHA256BlockSize]byte
+			for i, w := range in[:8] {
+				binary.LittleEndian.PutUint64(blk[8*i:], w)
+			}
+			sum := accel.SHA256Block(&blk)
+			for i := range dst {
+				dst[i] = binary.LittleEndian.Uint64(sum[8*i:])
+			}
+			return nil
 		},
-	}
+	})
 }
 
 // NewAES128 returns the AES-128 ECB encryptor: 128-bit blocks in and out,
@@ -64,7 +86,7 @@ func NewSHA256() Accelerator {
 // configured.
 func NewAES128() Accelerator {
 	cipher, _ := accel.NewAES(make([]byte, accel.AESKeySize))
-	return &blockAccel{
+	return newBlockAccel(blockAccel{
 		name:     "aes128",
 		inWords:  2,
 		outWords: 2,
@@ -76,21 +98,23 @@ func NewAES128() Accelerator {
 			cipher = c
 			return nil
 		},
-		process: func(in []Word) ([]Word, error) {
+		process: func(dst, in []Word) error {
 			var blk [accel.AESBlockSize]byte
 			binary.LittleEndian.PutUint64(blk[0:], in[0])
 			binary.LittleEndian.PutUint64(blk[8:], in[1])
 			cipher.Encrypt(blk[:], blk[:])
-			return []Word{binary.LittleEndian.Uint64(blk[0:]), binary.LittleEndian.Uint64(blk[8:])}, nil
+			dst[0] = binary.LittleEndian.Uint64(blk[0:])
+			dst[1] = binary.LittleEndian.Uint64(blk[8:])
+			return nil
 		},
-	}
+	})
 }
 
 // NewAES128Decrypt returns the matching decryptor (not in the paper's
 // prototype, but the natural second half of the pair).
 func NewAES128Decrypt() Accelerator {
 	cipher, _ := accel.NewAES(make([]byte, accel.AESKeySize))
-	return &blockAccel{
+	return newBlockAccel(blockAccel{
 		name:     "aes128-dec",
 		inWords:  2,
 		outWords: 2,
@@ -102,25 +126,30 @@ func NewAES128Decrypt() Accelerator {
 			cipher = c
 			return nil
 		},
-		process: func(in []Word) ([]Word, error) {
+		process: func(dst, in []Word) error {
 			var blk [accel.AESBlockSize]byte
 			binary.LittleEndian.PutUint64(blk[0:], in[0])
 			binary.LittleEndian.PutUint64(blk[8:], in[1])
 			cipher.Decrypt(blk[:], blk[:])
-			return []Word{binary.LittleEndian.Uint64(blk[0:]), binary.LittleEndian.Uint64(blk[8:])}, nil
+			dst[0] = binary.LittleEndian.Uint64(blk[0:])
+			dst[1] = binary.LittleEndian.Uint64(blk[8:])
+			return nil
 		},
-	}
+	})
 }
 
 // NewNull returns the AXI-Stream FIFO "null" accelerator: a word-for-word
 // pass-through (§4.3), handy for plumbing tests and as a chain spacer.
 func NewNull() Accelerator {
-	return &blockAccel{
+	return newBlockAccel(blockAccel{
 		name:     "axis-null",
 		inWords:  1,
 		outWords: 1,
-		process:  func(in []Word) ([]Word, error) { return []Word{in[0]}, nil },
-	}
+		process: func(dst, in []Word) error {
+			dst[0] = in[0]
+			return nil
+		},
+	})
 }
 
 // NewSTFT returns the short-time Fourier transform accelerator: `window`
@@ -130,25 +159,24 @@ func NewSTFT(window int) (Accelerator, error) {
 		return nil, fmt.Errorf("cohort: STFT window %d is not a power of two", window)
 	}
 	win := accel.HannWindow(window)
-	return &blockAccel{
+	frame := make([]complex128, window)
+	return newBlockAccel(blockAccel{
 		name:     "stft",
 		inWords:  window,
 		outWords: window,
-		process: func(in []Word) ([]Word, error) {
-			frame := make([]complex128, window)
+		process: func(dst, in []Word) error {
 			for i, w := range in {
 				frame[i] = complex(math.Float64frombits(w)*win[i], 0)
 			}
 			if err := accel.FFT(frame); err != nil {
-				return nil, err
+				return err
 			}
-			out := make([]Word, window)
 			for i, c := range frame {
-				out[i] = math.Float64bits(math.Hypot(real(c), imag(c)))
+				dst[i] = math.Float64bits(math.Hypot(real(c), imag(c)))
 			}
-			return out, nil
+			return nil
 		},
-	}, nil
+	}), nil
 }
 
 // H264Config re-exports the encoder geometry (width/height multiples of 4,
@@ -170,7 +198,7 @@ func NewH264(cfg H264Config) (Accelerator, error) {
 	// coefficients; generous bound keeps the block ratio fixed.
 	maxStream := cfg.Width*cfg.Height*3 + 64
 	outWords := 1 + (maxStream+7)/8
-	return &blockAccel{
+	return newBlockAccel(blockAccel{
 		name:     "h264",
 		inWords:  frameWords,
 		outWords: outWords,
@@ -194,23 +222,26 @@ func NewH264(cfg H264Config) (Accelerator, error) {
 			enc = e
 			return nil
 		},
-		process: func(in []Word) ([]Word, error) {
+		process: func(dst, in []Word) error {
 			frame := accel.WordsToBytes(in)[:cfg.Width*cfg.Height]
 			stream, err := enc.Encode([][]byte{frame})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if len(stream) > maxStream {
-				return nil, fmt.Errorf("cohort: h264 stream %d bytes exceeds bound %d", len(stream), maxStream)
+				return fmt.Errorf("cohort: h264 stream %d bytes exceeds bound %d", len(stream), maxStream)
 			}
-			out := make([]Word, outWords)
-			out[0] = uint64(len(stream))
-			padded := make([]byte, (outWords-1)*8)
-			copy(padded, stream)
-			copy(out[1:], accel.BytesToWords(padded))
-			return out, nil
+			dst[0] = uint64(len(stream))
+			for i := range dst[1:] {
+				var w [8]byte
+				if 8*i < len(stream) {
+					copy(w[:], stream[8*i:])
+				}
+				dst[1+i] = binary.LittleEndian.Uint64(w[:])
+			}
+			return nil
 		},
-	}, nil
+	}), nil
 }
 
 // DecodeH264Output recovers the bitstream from an H264 accelerator's output

@@ -5,8 +5,7 @@ import (
 )
 
 // echoAcc is an 8-word pass-through accelerator whose result slice reuses a
-// fixed backing array, so Process itself is allocation-free. (NewNull is not
-// usable here: it builds a fresh result slice per block.)
+// fixed backing array.
 type echoAcc struct {
 	out [8]Word
 }
@@ -24,38 +23,44 @@ func (e *echoAcc) Process(in []Word) ([]Word, error) {
 // disabled-observability hot path: with tracing, flight recording and
 // registry polling all off, a warmed engine moving blocks end to end — the
 // producer's PushSlice, the engine's drain/compute/publish loop (including
-// the 1-in-128 sampled drain timing), and the consumer's PopSlice — performs
-// no heap allocations at all. WithBackoff(0, 0) selects the spin-yield idle
-// policy, so even a momentarily idle engine stays off the timer path.
+// the 1-in-128 sampled drain timing), the accelerator's Process, and the
+// consumer's PopSlice — performs no heap allocations at all. WithBackoff(0,
+// 0) selects the spin-yield idle policy, so even a momentarily idle engine
+// stays off the timer path. It runs for the test echo and for every
+// accelerator the serving catalog hands out.
 func TestEngineSteadyStateAllocs(t *testing.T) {
-	in, err := NewFifo[Word](1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := NewFifo[Word](1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := Register(&echoAcc{}, in, out, WithBackoff(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Unregister()
+	for _, acc := range []Accelerator{&echoAcc{}, NewNull(), NewSHA256(), NewAES128(), NewAES128Decrypt()} {
+		t.Run(acc.Name(), func(t *testing.T) {
+			in, err := NewFifo[Word](1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := NewFifo[Word](1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := Register(acc, in, out, WithBackoff(0, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Unregister()
 
-	block := make([]Word, 8)
-	res := make([]Word, 8)
-	step := func() {
-		in.PushSlice(block)
-		out.PopSlice(res)
-	}
-	// Warm up past one-time costs (engine buffer, goroutine growth) and
-	// well past a full histogram sampling period so the measured runs cross
-	// the drainSampled path too.
-	for i := 0; i < 512; i++ {
-		step()
-	}
+			block := make([]Word, acc.InWords())
+			res := make([]Word, acc.OutWords())
+			step := func() {
+				in.PushSlice(block)
+				out.PopSlice(res)
+			}
+			// Warm up past one-time costs (engine buffer, goroutine growth)
+			// and well past a full histogram sampling period so the measured
+			// runs cross the drainSampled path too.
+			for i := 0; i < 512; i++ {
+				step()
+			}
 
-	if avg := testing.AllocsPerRun(512, step); avg != 0 {
-		t.Errorf("steady-state engine loop allocates: %.2f allocs/run, want 0", avg)
+			if avg := testing.AllocsPerRun(512, step); avg != 0 {
+				t.Errorf("steady-state engine loop allocates: %.2f allocs/block, want 0", avg)
+			}
+		})
 	}
 }

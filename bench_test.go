@@ -227,6 +227,36 @@ func BenchmarkEngineBatchSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkCatalogProcess is the accelerator rung of the serving ladder: one
+// Process call per op on each accelerator sched.DefaultCatalog serves,
+// reported as ns/block and allocs/op.
+func BenchmarkCatalogProcess(b *testing.B) {
+	for _, a := range []struct {
+		name string
+		acc  Accelerator
+	}{
+		{"null", NewNull()},
+		{"sha256", NewSHA256()},
+		{"aes128", NewAES128()},
+		{"aes128dec", NewAES128Decrypt()},
+	} {
+		b.Run(a.name, func(b *testing.B) {
+			in := make([]Word, a.acc.InWords())
+			for i := range in {
+				in[i] = Word(i+1) * 0x9e3779b97f4a7c15
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := a.acc.Process(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/block")
+		})
+	}
+}
+
 // BenchmarkSHA256Engine measures the native SHA engine end to end.
 func BenchmarkSHA256Engine(b *testing.B) {
 	in, _ := NewFifo[Word](512)

@@ -313,6 +313,55 @@ func TestSTFTAccelerator(t *testing.T) {
 	}
 }
 
+// TestCatalogAcceleratorsGolden pins the serving catalog's output words on a
+// fixed two-block input. The golden words were captured from the
+// implementations that built a fresh result slice per block, so the
+// in-place kernels must reproduce them exactly; the second block also
+// checks that a reused result buffer carries nothing over.
+func TestCatalogAcceleratorsGolden(t *testing.T) {
+	key := []byte("0123456789abcdef")
+	enc, dec := NewAES128(), NewAES128Decrypt()
+	if err := enc.Configure(key); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Configure(key); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		acc  Accelerator
+		want []Word
+	}{
+		{NewNull(), []Word{0x9e3779b97f4a7c15, 0x3c6ef372fe94f82a}},
+		{NewSHA256(), []Word{
+			0xfa97d0a650414176, 0xb9f93343559f3b38, 0x4523cd05ae2fb58f, 0x140fc28972cee9ae,
+			0x0ab9b64d219e1b19, 0x9f6dfb8b057b3802, 0x9344c8bc8e8564e5, 0xbbc80d636bd9ad6f}},
+		{enc, []Word{0x8e9ddb21e7158fe8, 0x68e3aa9c887501b5, 0x361dc0eeabdb398f, 0x72b0f184f59caac7}},
+		{dec, []Word{0x2765f89b1025970b, 0x2ddfbcd08da85d5a, 0xcdbf26c03cdd3b36, 0x97154db807d85e78}},
+	} {
+		inW := tc.acc.InWords()
+		in := make([]Word, 2*inW)
+		for i := range in {
+			in[i] = Word(i+1) * 0x9e3779b97f4a7c15
+		}
+		var got []Word
+		for b := 0; b < 2; b++ {
+			res, err := tc.acc.Process(in[b*inW : (b+1)*inW])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, res...)
+		}
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: %d output words, want %d", tc.acc.Name(), len(got), len(tc.want))
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: word %d = %#016x, want %#016x", tc.acc.Name(), i, got[i], tc.want[i])
+			}
+		}
+	}
+}
+
 func TestChainValidation(t *testing.T) {
 	in, _ := NewFifo[Word](4)
 	out, _ := NewFifo[Word](4)

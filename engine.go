@@ -19,7 +19,11 @@ type Word = uint64
 // receives the CSR struct supplied at registration (an AES key, an encoder
 // geometry, ...). Implementations must be safe to call from the single
 // engine goroutine that owns them. The slice passed to Process is reused
-// between calls and must not be retained.
+// between calls and must not be retained. The slice Process returns may
+// alias memory the accelerator owns: it stays valid only until the next
+// Process or Configure call, so a caller copies it out before making either.
+// A caller may also modify it in place (FaultAccel scrambles it), so an
+// accelerator must not keep state in the slice it returns.
 type Accelerator interface {
 	Name() string
 	InWords() int

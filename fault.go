@@ -188,8 +188,8 @@ func (f *FaultAccel) Configure(csr []byte) error {
 // Process injects this block's scheduled faults, then delegates to the
 // wrapped accelerator. Transient failures leave the block counter in place,
 // so a retried block replays its remaining schedule and then succeeds;
-// corruption scrambles the inner result in place (the engine owns the slice
-// until the next Process call).
+// corruption scrambles the inner result in place, which the Accelerator
+// contract allows until the next Process call.
 func (f *FaultAccel) Process(in []Word) ([]Word, error) {
 	idx := f.block
 	if d, ok := f.delay[idx]; ok {

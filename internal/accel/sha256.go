@@ -137,3 +137,25 @@ func SHA256Sum(data []byte) [SHA256Size]byte {
 	d.Write(data)
 	return d.Sum()
 }
+
+// sha256OneBlockPad is the padding block that follows every one-block
+// (64-byte) message: 0x80, zeros, then the message length in bits.
+var sha256OneBlockPad = func() (pad [SHA256BlockSize]byte) {
+	pad[0] = 0x80
+	binary.BigEndian.PutUint64(pad[SHA256BlockSize-8:], SHA256BlockSize*8)
+	return pad
+}()
+
+// SHA256Block returns the SHA-256 digest of exactly one 64-byte message. It
+// equals SHA256Sum(block[:]) without the hasher's buffering or per-call
+// padding, and it does not allocate.
+func SHA256Block(block *[SHA256BlockSize]byte) [SHA256Size]byte {
+	state := sha256InitState
+	sha256Compress(&state, block[:])
+	sha256Compress(&state, sha256OneBlockPad[:])
+	var out [SHA256Size]byte
+	for i, v := range state {
+		binary.BigEndian.PutUint32(out[4*i:], v)
+	}
+	return out
+}

@@ -90,3 +90,24 @@ func TestSHA256Property(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSHA256BlockMatchesReferences checks the one-block path, with its
+// precomputed padding block, against crypto/sha256 and against the general
+// hasher over seeded random blocks, and pins that it does not allocate.
+func TestSHA256BlockMatchesReferences(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var blk [SHA256BlockSize]byte
+	for i := 0; i < 500; i++ {
+		rng.Read(blk[:])
+		got := SHA256Block(&blk)
+		if want := sha256.Sum256(blk[:]); got != want {
+			t.Fatalf("block %d: SHA256Block %x, crypto/sha256 %x", i, got, want)
+		}
+		if want := SHA256Sum(blk[:]); got != want {
+			t.Fatalf("block %d: SHA256Block %x, SHA256Sum %x", i, got, want)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { SHA256Block(&blk) }); avg != 0 {
+		t.Errorf("SHA256Block allocates %.2f times per call, want 0", avg)
+	}
+}
